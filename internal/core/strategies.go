@@ -284,14 +284,8 @@ func (e *Engine) Repartition(batch *VertexBatch) (*RepartitionResult, error) {
 				if dst.extShared.Has(v) {
 					snap = dst.newRowCopy(snap)
 				}
-				delete(dst.ext, v)
-				dst.extShared.Clear(v)
-				if pd, ok := dst.extPending[v]; ok {
-					delete(dst.extPending, v)
-					pd.cols.Reset()
-					pd.full = false
-					dst.pendingPool = append(dst.pendingPool, pd)
-				}
+				dst.extShared.Set(v) // keep the array: it becomes the owned row below
+				dst.dropSnapshot(v)
 				for _, c := range cols {
 					snap[c] = row[c]
 				}
@@ -339,19 +333,9 @@ func (e *Engine) Repartition(batch *VertexBatch) (*RepartitionResult, error) {
 		// Prune snapshots of vertices now local to this processor or no
 		// longer boundary-adjacent to it (their owner clears our up-to-date
 		// bit below, so a later re-pairing starts with a full send).
-		for s, row := range pr.ext {
+		for s := range pr.ext {
 			if (int(s) < len(pr.isLocal) && pr.isLocal[s]) || e.peerMask(s)&pBit == 0 {
-				delete(pr.ext, s)
-				if !pr.extShared.Has(s) {
-					pr.recycleRow(row)
-				}
-				pr.extShared.Clear(s)
-				if pd, ok := pr.extPending[s]; ok {
-					delete(pr.extPending, s)
-					pd.cols.Reset()
-					pd.full = false
-					pr.pendingPool = append(pr.pendingPool, pd)
-				}
+				pr.dropSnapshot(s)
 			}
 		}
 		// Relax closure: migrated rows have never been relaxed against this

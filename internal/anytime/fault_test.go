@@ -145,12 +145,12 @@ func TestSessionWireFaultyStress(t *testing.T) {
 	s := mustSession(t, g, Options{
 		Engine: core.Options{P: 4, Seed: 7, Obs: reg,
 			RuntimeFactory: func(p int, model logp.Params) (runtime.Runtime, error) {
-				mesh, err := transport.NewTCPLoopback(p)
+				mesh, err := transport.NewLoopback(p, transport.Config{})
 				if err != nil {
 					return nil, err
 				}
 				faulty = transport.NewFaulty(mesh, transport.FaultOptions{Rate: 0.25, Seed: 17})
-				return runtime.NewWire(p, model, core.WireCodec{}, faulty), nil
+				return runtime.NewRemote(p, 0, p, model, core.WireCodec{}, faulty)
 			}},
 	})
 

@@ -191,7 +191,6 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 		changes    = fs.String("changes", "", "replay a change log (see internal/changelog) during the analysis")
 		eagerDel   = fs.Bool("eager-deletions", false, "barrier-free (eager) deletion mode for the change log")
 		rtName     = fs.String("runtime", "sim", "execution runtime: sim (in-process) or tcp (boundary DVs over a real TCP loopback mesh)")
-		wire       = fs.Bool("wire", false, "deprecated alias for -runtime tcp")
 		faultRate  = fs.Float64("fault-rate", 0, "tcp runtime: inject deterministic wire faults (drops, delays, truncated/corrupt frames) on this fraction of exchange rounds, in [0,1)")
 		faultSeed  = fs.Int64("fault-seed", 1, "seed for the deterministic fault-injection schedule")
 		traceCSV   = fs.String("trace", "", "write a CSV step/event trace to this file")
@@ -259,7 +258,7 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 		}
 		for flagName, set := range map[string]bool{
 			"-serve": *serve, "-changes": *changes != "",
-			"-anytime": *anyFlag, "-wire": *wire, "-ingest": *ingestN > 0,
+			"-anytime": *anyFlag, "-ingest": *ingestN > 0,
 		} {
 			if set {
 				return fmt.Errorf("%s is a coordinator/single-process flag; a worker only hosts its partition", flagName)
@@ -277,8 +276,8 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 			return fmt.Errorf("-changes on a coordinator requires -serve (batch replay drives a single-process engine)")
 		}
 	}
-	if *role != "" && (*rtName != "sim" || *wire || *faultRate > 0) {
-		return fmt.Errorf("-runtime/-wire/-fault-rate configure the single-process runtime; a multi-process deployment always exchanges over the worker mesh")
+	if *role != "" && (*rtName != "sim" || *faultRate > 0) {
+		return fmt.Errorf("-runtime/-fault-rate configure the single-process runtime; a multi-process deployment always exchanges over the worker mesh")
 	}
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -301,9 +300,6 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 	rtKind, err := runtime.ParseKind(*rtName)
 	if err != nil {
 		return err
-	}
-	if *wire {
-		rtKind = runtime.WireTCP
 	}
 	if *faultRate < 0 || *faultRate >= 1 {
 		return fmt.Errorf("-fault-rate must be in [0,1), got %g", *faultRate)
@@ -397,12 +393,12 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 	if *faultRate > 0 {
 		rate, fseed := *faultRate, *faultSeed
 		eopts.RuntimeFactory = func(p int, model logp.Params) (runtime.Runtime, error) {
-			mesh, err := transport.NewTCPLoopback(p)
+			mesh, err := transport.NewLoopback(p, transport.Config{})
 			if err != nil {
 				return nil, err
 			}
 			faulty := transport.NewFaulty(mesh, transport.FaultOptions{Rate: rate, Seed: fseed})
-			return runtime.NewWire(p, model, core.WireCodec{}, faulty), nil
+			return runtime.NewRemote(p, 0, p, model, core.WireCodec{}, faulty)
 		}
 		logger.Info("fault injection armed", "rate", rate, "seed", fseed)
 	}

@@ -44,6 +44,29 @@ func TestAnalysisWorkersPool(t *testing.T) {
 	}
 }
 
+// TestAnalysisFaultyWireMatchesSim injects wire faults into a tcp run. A
+// failed round costs a step rollback that the batch CLI retries, so the
+// report — top-k and rc step count — must match the fault-free sim run.
+func TestAnalysisFaultyWireMatchesSim(t *testing.T) {
+	report := func(args ...string) (out, top, steps string) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := Analysis(append([]string{"-n", "120", "-p", "4", "-top", "5"}, args...), &buf); err != nil {
+			t.Fatal(err)
+		}
+		out = buf.String()
+		return out, out[strings.Index(out, "top 5"):strings.Index(out, "rc steps")], strings.Fields(out[strings.Index(out, "rc steps"):])[2]
+	}
+	_, simTop, simSteps := report()
+	out, wireTop, wireSteps := report("-runtime", "tcp", "-fault-rate", "0.5", "-fault-seed", "2")
+	if !strings.Contains(out, "exchange round failed; retrying") {
+		t.Fatalf("the fault schedule never failed a round:\n%s", out)
+	}
+	if wireTop != simTop || wireSteps != simSteps {
+		t.Fatalf("faulty wire report diverged from sim:\nsim (%s steps):\n%s\nwire (%s steps):\n%s", simSteps, simTop, wireSteps, wireTop)
+	}
+}
+
 func TestAnalysisHarmonicAnytime(t *testing.T) {
 	var out bytes.Buffer
 	err := Analysis([]string{"-n", "100", "-p", "4", "-harmonic", "-anytime", "-gen", "er"}, &out)

@@ -10,8 +10,9 @@
 // serialisation), but every exchange declares its wire size so the LogP
 // model prices it exactly as the cluster network would. Cluster is the
 // reference implementation of runtime.Runtime (internal/runtime); the wire
-// runtime composes a Cluster with a WireCodec and a byte transport to carry
-// the same exchanges over real sockets.
+// runtime (runtime.Remote) composes a Cluster with a WireCodec and a mesh to
+// carry the same exchanges over real sockets, running compute only for the
+// processors resident in its process.
 package cluster
 
 import (
@@ -83,9 +84,10 @@ func (s Stats) Merge(o Stats) Stats {
 // Cluster is a simulated P-processor machine exchanging payloads by
 // reference. It is the in-process execution runtime (runtime.Sim).
 type Cluster struct {
-	p     int
-	model logp.Params
-	pool  int
+	p      int
+	lo, hi int // resident processors: Parallel runs [lo,hi)
+	model  logp.Params
+	pool   int
 
 	mu    sync.Mutex
 	stats Stats
@@ -122,21 +124,31 @@ func (c *Cluster) SetObs(reg *obs.Registry) {
 	c.mu.Unlock()
 }
 
-// New returns a cluster of p simulated processors priced by model. The
-// number of host goroutines running processor work concurrently is
-// min(p, GOMAXPROCS); results are independent of the pool size because
-// processors only touch their own state during Parallel sections.
-func New(p int, model logp.Params) *Cluster {
+// New returns a cluster of p simulated processors priced by model, all of
+// them resident. The number of host goroutines running processor work
+// concurrently is min(p, GOMAXPROCS); results are independent of the pool
+// size because processors only touch their own state during Parallel
+// sections.
+func New(p int, model logp.Params) *Cluster { return NewResident(p, 0, p, model) }
+
+// NewResident returns a cluster of p processors of which only [lo,hi) run
+// in this process: Parallel runs the resident range on min(hi-lo,
+// GOMAXPROCS) goroutines. A multi-process deployment gives each process its
+// own range; the other processors' work runs elsewhere.
+func NewResident(p, lo, hi int, model logp.Params) *Cluster {
 	if p < 1 {
 		panic(fmt.Sprintf("cluster: need at least 1 processor, got %d", p))
 	}
-	model.P = p
-	pool := runtime.GOMAXPROCS(0)
-	if pool > p {
-		pool = p
+	if lo < 0 || hi > p || lo >= hi {
+		panic(fmt.Sprintf("cluster: resident range [%d,%d) invalid for %d processors", lo, hi, p))
 	}
-	return &Cluster{p: p, model: model, pool: pool}
+	model.P = p
+	pool := min(runtime.GOMAXPROCS(0), hi-lo)
+	return &Cluster{p: p, lo: lo, hi: hi, model: model, pool: pool}
 }
+
+// Resident reports whether processor p runs in this process.
+func (c *Cluster) Resident(p int) bool { return p >= c.lo && p < c.hi }
 
 // P returns the number of simulated processors.
 func (c *Cluster) P() int { return c.p }
@@ -162,16 +174,16 @@ func (c *Cluster) ResetStats() {
 // resources. It exists so Cluster satisfies runtime.Runtime.
 func (c *Cluster) Close() error { return nil }
 
-// Parallel runs fn(proc) for every processor 0..P-1 on the worker pool and
-// waits for all to finish (a BSP superstep's compute phase). The modelled
-// parallel time of the section is the maximum per-processor duration, which
-// is what a real P-processor machine would take; this is how a single-core
-// host still produces 16-processor-shaped results.
+// Parallel runs fn(proc) for every resident processor on the worker pool
+// and waits for all to finish (a BSP superstep's compute phase). The
+// modelled parallel time of the section is the maximum per-processor
+// duration, which is what a real P-processor machine would take; this is
+// how a single-core host still produces 16-processor-shaped results.
 func (c *Cluster) Parallel(fn func(proc int)) {
-	durs := make([]time.Duration, c.p)
+	durs := make([]time.Duration, c.hi-c.lo)
 	var wg sync.WaitGroup
-	work := make(chan int, c.p)
-	for i := 0; i < c.p; i++ {
+	work := make(chan int, c.hi-c.lo)
+	for i := c.lo; i < c.hi; i++ {
 		work <- i
 	}
 	close(work)
@@ -182,7 +194,7 @@ func (c *Cluster) Parallel(fn func(proc int)) {
 			for proc := range work {
 				start := time.Now()
 				fn(proc)
-				durs[proc] = time.Since(start)
+				durs[proc-c.lo] = time.Since(start)
 			}
 		}()
 	}

@@ -386,8 +386,15 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		rt:      rt,
 		workers: opts.Workers,
 	}
+	// A runtime that hosts every processor (sim, single-process wire) is not
+	// partial, whatever interfaces it implements.
 	if pa, ok := rt.(runtime.Partial); ok {
-		e.partial = pa
+		for p := 0; p < rt.P(); p++ {
+			if !pa.Resident(p) {
+				e.partial = pa
+				break
+			}
+		}
 	}
 	e.spans = obs.SinkOf(opts.Tracer)
 	e.rec = opts.Obs.Events()

@@ -455,7 +455,6 @@ func (c *Coordinator) noteWorkerMetrics(idx int, res *resultBody) {
 	set("aacc_cluster_worker_step_failures", "failed engine steps reported by the worker", m.StepFailures)
 	set("aacc_cluster_worker_wire_rounds", "exchange wire rounds the worker has driven", m.WireRounds)
 	set("aacc_cluster_worker_wire_round_failures", "aborted exchange wire rounds on the worker", m.WireRoundFailures)
-	set("aacc_cluster_worker_wire_retries", "wire round retries on the worker", m.WireRetries)
 	conv := 0.0
 	if res.Converged {
 		conv = 1

@@ -142,7 +142,6 @@ type wireMetrics struct {
 	StepFailures      float64 `json:",omitempty"`
 	WireRounds        float64 `json:",omitempty"`
 	WireRoundFailures float64 `json:",omitempty"`
-	WireRetries       float64 `json:",omitempty"`
 }
 
 // wireSpan is one worker-side span carried on a result reply. The trace

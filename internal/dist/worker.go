@@ -258,7 +258,6 @@ func (wt *workerTelemetry) snapshot() *wireMetrics {
 		wm.StepFailures = reg.Counter("aacc_engine_step_failures_total", "").Value()
 		wm.WireRounds = reg.Counter("aacc_transport_wire_rounds_total", "").Value()
 		wm.WireRoundFailures = reg.Counter("aacc_transport_wire_round_failures_total", "").Value()
-		wm.WireRetries = reg.Counter("aacc_transport_retries_total", "").Value()
 	}
 	return wm
 }

@@ -3,8 +3,6 @@ package runtime
 import (
 	"encoding/binary"
 	"fmt"
-	gort "runtime"
-	"sync"
 	"time"
 
 	"aacc/internal/cluster"
@@ -13,11 +11,10 @@ import (
 	"aacc/internal/obs"
 )
 
-func gomaxprocs() int { return gort.GOMAXPROCS(0) }
-
-// Partial is implemented by runtimes that host only a slice of the
+// Partial is implemented by runtimes that may host only a slice of the
 // simulated processors in this process (a worker in a multi-process
-// deployment). The engine probes for it: phases still build bookkeeping for
+// deployment). The engine probes for it and treats the runtime as partial
+// when some processor is not resident: phases still build bookkeeping for
 // every processor — determinism requires the same partition everywhere — but
 // per-row state and query results exist only for resident processors.
 type Partial interface {
@@ -37,21 +34,24 @@ type RowBroadcaster interface {
 }
 
 // RemoteTransport is the collective substrate a Remote runtime drives: a
-// mesh between worker processes. transport.PeerMesh implements it. Sequence
-// numbers are supplied by the caller so every process stamps the same
-// collective identically.
+// mesh between worker processes (transport.PeerMesh) or, in single-process
+// wire mode, between one endpoint per processor (transport.Loopback).
+// Sequence numbers are supplied by the caller so every process stamps the
+// same collective identically.
 type RemoteTransport interface {
 	RoundTrip(seq uint32, frames [][][]byte) ([][][]byte, error)
 	AllGather(seq uint32, payload []byte) ([][]byte, error)
 	Close() error
 }
 
-// Remote is the multi-process execution runtime: this process hosts the
-// contiguous processor range [lo,hi) of a P-processor analysis, compute
-// phases run only for the resident range, and every exchange is serialised
-// by the codec and carried across the worker mesh. The full engine (same
-// graph, same partition) is built in every process; Remote is what confines
-// the actual data and work to the resident slice.
+// Remote is the wire execution runtime: this process hosts the contiguous
+// processor range [lo,hi) of a P-processor analysis, compute phases run
+// only for the resident range, and every exchange is serialised by the
+// codec and carried across the mesh, so the accounted traffic is measured
+// frame sizes rather than caller estimates. In a multi-process deployment
+// the full engine (same graph, same partition) is built in every process
+// and Remote confines the actual data and work to the resident slice; in
+// single-process wire mode the range is [0,P).
 //
 // Sequencing and atomicity are owned by the coordinator: SetBaseSeq installs
 // the round sequence each command was stamped with, and the optional Barrier
@@ -60,10 +60,8 @@ type RemoteTransport interface {
 // it back.
 type Remote struct {
 	*cluster.Cluster
-	lo, hi int
-	codec  cluster.WireCodec
-	tr     RemoteTransport
-	pool   int
+	codec cluster.WireCodec
+	tr    RemoteTransport
 
 	// seq is the sequence number for the next collective. It is written by
 	// SetBaseSeq before each engine call and read/advanced by the
@@ -89,8 +87,8 @@ var (
 	_ Observable     = (*Remote)(nil)
 )
 
-// NewRemote builds the runtime for one worker hosting processors [lo,hi) of
-// a p-processor analysis.
+// NewRemote builds the runtime for one process hosting processors [lo,hi)
+// of a p-processor analysis. It takes ownership of tr; Close tears it down.
 func NewRemote(p, lo, hi int, model logp.Params, codec cluster.WireCodec, tr RemoteTransport) (*Remote, error) {
 	if lo < 0 || hi > p || lo >= hi {
 		return nil, fmt.Errorf("runtime: resident range [%d,%d) invalid for %d processors", lo, hi, p)
@@ -98,16 +96,8 @@ func NewRemote(p, lo, hi int, model logp.Params, codec cluster.WireCodec, tr Rem
 	if codec == nil || tr == nil {
 		return nil, fmt.Errorf("runtime: NewRemote needs a codec and a transport")
 	}
-	c := cluster.New(p, model)
-	pool := hi - lo
-	if gm := gomaxprocs(); gm < pool {
-		pool = gm
-	}
-	return &Remote{Cluster: c, lo: lo, hi: hi, codec: codec, tr: tr, pool: pool}, nil
+	return &Remote{Cluster: cluster.NewResident(p, lo, hi, model), codec: codec, tr: tr}, nil
 }
-
-// Resident implements Partial.
-func (r *Remote) Resident(p int) bool { return p >= r.lo && p < r.hi }
 
 // SetBaseSeq installs the coordinator-assigned sequence number for the next
 // collective. Call before each engine operation that was stamped with one.
@@ -130,45 +120,17 @@ func (r *Remote) SetBarrier(fn func(local error) error) { r.barrier = fn }
 // only the local contribution and no mesh round runs.
 func (r *Remote) SetDetached(v bool) { r.detached = v }
 
-// Parallel runs fn for the resident processors only and accounts the
-// section's modelled parallel time as the slowest resident processor. The
-// other workers run their own ranges concurrently in their own processes.
-func (r *Remote) Parallel(fn func(proc int)) {
-	n := r.hi - r.lo
-	durs := make([]time.Duration, n)
-	work := make(chan int, n)
-	for i := r.lo; i < r.hi; i++ {
-		work <- i
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < r.pool; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for proc := range work {
-				start := time.Now()
-				fn(proc)
-				durs[proc-r.lo] = time.Since(start)
-			}
-		}()
-	}
-	wg.Wait()
-	var max time.Duration
-	for _, d := range durs {
-		if d > max {
-			max = d
-		}
-	}
-	r.AccountCompute(max)
-}
-
-// Exchange implements the personalised all-to-all across the worker mesh:
-// resident rows are encoded and shipped, resident destination cells come
-// back decoded; the rest of the matrix lives in the other processes. When a
-// barrier is installed, the local outcome is submitted to it and its global
-// verdict replaces the local one — an aborted round returns an error even if
-// this worker's slice was delivered.
+// Exchange implements the personalised all-to-all across the mesh: resident
+// rows are encoded and shipped, resident destination cells come back
+// decoded; the rest of the matrix lives in the other processes. Frame sizes
+// — real serialised bytes — feed the LogP pricing and traffic counters, and
+// encode/decode time is charged as compute. Transport and codec failures
+// surface as errors: no partial results are returned, the round is not
+// folded into the traffic accounting, and the caller decides whether to
+// degrade or abort. Shape violations remain panics: they are caller bugs,
+// not wire weather. When a barrier is installed, the local outcome is
+// submitted to it and its global verdict replaces the local one — an
+// aborted round returns an error even if this worker's slice was delivered.
 func (r *Remote) Exchange(out [][]*cluster.Mail) ([][]*cluster.Mail, error) {
 	p := r.P()
 	if len(out) != p {
@@ -178,8 +140,8 @@ func (r *Remote) Exchange(out [][]*cluster.Mail) ([][]*cluster.Mail, error) {
 	frames := make([][][]byte, p)
 	sizes := make([][]int, p)
 	var encErr error
-	for src := r.lo; src < r.hi && encErr == nil; src++ {
-		if out[src] == nil {
+	for src := 0; src < p && encErr == nil; src++ {
+		if out[src] == nil || !r.Resident(src) {
 			continue
 		}
 		if len(out[src]) != p {
@@ -214,7 +176,10 @@ func (r *Remote) Exchange(out [][]*cluster.Mail) ([][]*cluster.Mail, error) {
 		for dst := range in {
 			in[dst] = make([]*cluster.Mail, p)
 		}
-		for dst := r.lo; dst < r.hi; dst++ {
+		for dst := 0; dst < p && roundErr == nil; dst++ {
+			if !r.Resident(dst) {
+				continue
+			}
 			for src, frame := range inFrames[dst] {
 				if frame == nil || src == dst {
 					continue
@@ -225,9 +190,6 @@ func (r *Remote) Exchange(out [][]*cluster.Mail) ([][]*cluster.Mail, error) {
 					break
 				}
 				in[dst][src] = &cluster.Mail{Payload: payload, Bytes: len(frame)}
-			}
-			if roundErr != nil {
-				break
 			}
 		}
 	}

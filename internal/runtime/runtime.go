@@ -5,20 +5,22 @@
 // shared Stats schema, so sim-mode and wire-mode analyses emit identical
 // observability records.
 //
-// Two implementations ship today:
+// Two implementations ship:
 //
 //   - the in-process reference-passing cluster (runtime.Sim, the default):
 //     payloads are handed over by pointer and the LogP model prices the
 //     declared sizes (internal/cluster);
-//   - the wire runtime (runtime.WireTCP): every exchange payload is
-//     serialised by a cluster.WireCodec and carried by a
-//     transport.Transport — by default a real TCP loopback mesh — so
-//     traffic accounting reflects measured frame bytes.
+//   - the wire runtime, Remote: every exchange payload is serialised by a
+//     cluster.WireCodec and carried over TCP by a mesh, so traffic
+//     accounting reflects measured frame bytes. A worker of a
+//     multi-process deployment hosts a slice [lo,hi) of the processors
+//     over a transport.PeerMesh; single-process wire mode
+//     (runtime.WireTCP) is the same Remote over the full range [0,P) on a
+//     transport.Loopback, one mesh endpoint per processor.
 //
 // Selection happens at construction (core.Options.Runtime or a custom
 // factory); nothing mutates a runtime into a different mode after it is
-// built. The layer exists so future backends (multi-process, async or
-// batched exchange rounds) slot in without touching the engine's phases.
+// built.
 package runtime
 
 import (
@@ -47,9 +49,9 @@ type Runtime interface {
 	// Exchange performs one personalised all-to-all: out[src][dst] is the
 	// mail from src to dst (nil = nothing); the result is indexed
 	// [dst][src]. A non-nil error means the round was not delivered (the
-	// in-memory runtime never fails; wire runtimes can, after exhausting
-	// their transport's retry budget): no partial results are returned and
-	// the caller must treat the step as not having happened.
+	// in-memory runtime never fails; wire runtimes can): no partial results
+	// are returned and the caller must treat the step as not having
+	// happened.
 	Exchange(out [][]*cluster.Mail) ([][]*cluster.Mail, error)
 	// Broadcast accounts a tree broadcast from root and returns the payload
 	// for the caller to distribute.
@@ -84,7 +86,7 @@ const (
 	// Sim is the in-process reference-passing cluster (the default).
 	Sim Kind = "sim"
 	// WireTCP carries every exchange over a TCP loopback mesh with the
-	// binary wire codec.
+	// binary wire codec: a full-range Remote on a transport.Loopback.
 	WireTCP Kind = "tcp"
 )
 
@@ -116,11 +118,11 @@ func New(kind Kind, p int, model logp.Params, codec cluster.WireCodec) (Runtime,
 		if codec == nil {
 			return nil, fmt.Errorf("runtime: the %s runtime needs a wire codec", kind)
 		}
-		mesh, err := transport.NewTCPLoopback(p)
+		mesh, err := transport.NewLoopback(p, transport.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("runtime: building wire mesh: %w", err)
 		}
-		return NewWire(p, model, codec, mesh), nil
+		return NewRemote(p, 0, p, model, codec, mesh)
 	default:
 		return nil, fmt.Errorf("runtime: unknown runtime kind %q", kind)
 	}

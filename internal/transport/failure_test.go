@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -16,15 +18,27 @@ import (
 )
 
 // Failure-path coverage: the framing reader against truncated, stale and
-// malformed streams, retry and resynchronisation after failed rounds, setup
-// against misbehaving dialers, and Close semantics under concurrency. The
-// contract throughout: errors surface within the configured deadlines, stale
-// bytes are never returned as fresh data, and nothing hangs.
+// malformed streams, redial and resynchronisation after failed rounds,
+// accepting against misbehaving dialers, and Close semantics under
+// concurrency. The contract throughout: errors surface within the
+// configured deadlines, stale bytes are never returned as fresh data, and
+// nothing hangs.
 
-// framingMesh returns a connection-less TCPLoopback carrying only the config,
-// for driving readRound directly.
-func framingMesh() *TCPLoopback {
-	return &TCPLoopback{n: 2, cfg: Config{}.Normalize()}
+// readRound reads one round's records from br with readRecords: at most one
+// frame followed by the round terminator, all stamped with sequence number
+// want. It returns the frame (nil if the round carried nothing).
+func readRound(br *bufio.Reader, want uint32) ([]byte, error) {
+	var frame []byte
+	seen := false
+	err := readRecords(br, want, Config{}.Normalize().MaxFrame, func(payload []byte) error {
+		if seen {
+			return errors.New("two frames in one round")
+		}
+		seen = true
+		frame = payload
+		return nil
+	})
+	return frame, err
 }
 
 // pipePair returns a connected in-process conn pair with a deadline so a
@@ -45,7 +59,7 @@ func TestReadRoundShortHeader(t *testing.T) {
 		a.Write([]byte{7, 0}) // a fraction of a record header
 		a.Close()
 	}()
-	if _, err := framingMesh().readRound(bufio.NewReader(b), 1); err == nil {
+	if _, err := readRound(bufio.NewReader(b), 1); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 }
@@ -60,7 +74,7 @@ func TestReadRoundTruncatedPayload(t *testing.T) {
 		a.Write([]byte("only twenty bytes...")) // deliver 20
 		a.Close()
 	}()
-	if _, err := framingMesh().readRound(bufio.NewReader(b), 1); err == nil {
+	if _, err := readRound(bufio.NewReader(b), 1); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 }
@@ -68,10 +82,10 @@ func TestReadRoundTruncatedPayload(t *testing.T) {
 func TestReadRoundMissingTerminator(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
-		writeFrame(a, 1, []byte("complete frame, no terminator"))
+		writeFrame(a, 1, nil, []byte("complete frame, no terminator"))
 		a.Close()
 	}()
-	if _, err := framingMesh().readRound(bufio.NewReader(b), 1); err == nil {
+	if _, err := readRound(bufio.NewReader(b), 1); err == nil {
 		t.Fatal("round without terminator accepted")
 	}
 }
@@ -79,11 +93,11 @@ func TestReadRoundMissingTerminator(t *testing.T) {
 func TestReadRoundTwoFramesOneRound(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
-		writeFrame(a, 1, []byte("first"))
-		writeFrame(a, 1, []byte("second"))
+		writeFrame(a, 1, nil, []byte("first"))
+		writeFrame(a, 1, nil, []byte("second"))
 		writeTerminator(a, 1)
 	}()
-	_, err := framingMesh().readRound(bufio.NewReader(b), 1)
+	_, err := readRound(bufio.NewReader(b), 1)
 	if err == nil || !strings.Contains(err.Error(), "two frames") {
 		t.Fatalf("second frame in a round: err = %v", err)
 	}
@@ -92,10 +106,10 @@ func TestReadRoundTwoFramesOneRound(t *testing.T) {
 func TestReadRoundZeroLengthFrame(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
-		writeFrame(a, 1, []byte{})
+		writeFrame(a, 1, nil, []byte{})
 		writeTerminator(a, 1)
 	}()
-	frame, err := framingMesh().readRound(bufio.NewReader(b), 1)
+	frame, err := readRound(bufio.NewReader(b), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +124,13 @@ func TestReadRoundDrainsStaleRecords(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
 		// Leftovers of aborted rounds 1 and 2, then the live round 3.
-		writeFrame(a, 1, []byte("stale one"))
+		writeFrame(a, 1, nil, []byte("stale one"))
 		writeTerminator(a, 1)
-		writeFrame(a, 2, []byte("stale two"))
-		writeFrame(a, 3, []byte("fresh"))
+		writeFrame(a, 2, nil, []byte("stale two"))
+		writeFrame(a, 3, nil, []byte("fresh"))
 		writeTerminator(a, 3)
 	}()
-	frame, err := framingMesh().readRound(bufio.NewReader(b), 3)
+	frame, err := readRound(bufio.NewReader(b), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +142,10 @@ func TestReadRoundDrainsStaleRecords(t *testing.T) {
 func TestReadRoundRejectsFutureSeq(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
-		writeFrame(a, 9, []byte("from the future"))
+		writeFrame(a, 9, nil, []byte("from the future"))
 		writeTerminator(a, 9)
 	}()
-	_, err := framingMesh().readRound(bufio.NewReader(b), 3)
+	_, err := readRound(bufio.NewReader(b), 3)
 	if err == nil || !strings.Contains(err.Error(), "future round") {
 		t.Fatalf("future-round frame: err = %v", err)
 	}
@@ -141,10 +155,10 @@ func TestReadRoundResyncsPastGarbage(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
 		a.Write([]byte("line noise that is definitely not a record header"))
-		writeFrame(a, 1, []byte("recovered"))
+		writeFrame(a, 1, nil, []byte("recovered"))
 		writeTerminator(a, 1)
 	}()
-	frame, err := framingMesh().readRound(bufio.NewReader(b), 1)
+	frame, err := readRound(bufio.NewReader(b), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +177,10 @@ func TestReadRoundHugeLengthHeaderDoesNotAllocate(t *testing.T) {
 		putRecordHeader(hdr[:], 1, 0xFFFFFFF0) // not the terminator marker
 		binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(hdr[:12]))
 		a.Write(hdr[:])
-		writeFrame(a, 1, []byte("after the bomb"))
+		writeFrame(a, 1, nil, []byte("after the bomb"))
 		writeTerminator(a, 1)
 	}()
-	frame, err := framingMesh().readRound(bufio.NewReader(b), 1)
+	frame, err := readRound(bufio.NewReader(b), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +202,7 @@ func TestReadRoundCRCMismatch(t *testing.T) {
 		a.Write(payload)
 		writeTerminator(a, 1)
 	}()
-	_, err := framingMesh().readRound(bufio.NewReader(b), 1)
+	_, err := readRound(bufio.NewReader(b), 1)
 	if err == nil || !strings.Contains(err.Error(), "crc") {
 		t.Fatalf("corrupt payload: err = %v", err)
 	}
@@ -221,16 +235,13 @@ func (c *flakyConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// fastMesh builds a mesh with short timeouts so failure paths resolve in
-// test time, not operational time.
-func fastMesh(t *testing.T, n int, cfg Config) *TCPLoopback {
-	t.Helper()
-	mesh, err := NewTCPLoopbackWith(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mesh.Close() })
-	return mesh
+// plant replaces endpoint src's established outbound connection to dst
+// with wrap(conn).
+func plant(l *Loopback, src, dst int, wrap func(net.Conn) net.Conn) {
+	m := l.meshes[src]
+	m.mu.Lock()
+	m.out[dst] = wrap(m.out[dst])
+	m.mu.Unlock()
 }
 
 func meshFrames(n int, fill func(src, dst int) []byte) [][][]byte {
@@ -246,20 +257,21 @@ func meshFrames(n int, fill func(src, dst int) []byte) [][][]byte {
 	return frames
 }
 
-// TestRoundTripRetriesTornWrite tears one connection's first write mid-header
-// and expects the round to succeed on retry, with the retry counted and the
-// receiver resynchronised past the torn bytes.
+// TestRoundTripRetriesTornWrite tears one connection's first write
+// mid-header and expects the round to succeed anyway: the sender redials
+// once within the round deadline and resends, and the receiver abandons the
+// torn stream for the replacement connection.
 func TestRoundTripRetriesTornWrite(t *testing.T) {
-	mesh := fastMesh(t, 3, Config{RoundTimeout: 2 * time.Second, RetryBackoff: time.Millisecond})
+	mesh := newLoopback(t, 3, Config{RoundTimeout: 2 * time.Second})
 	reg := obs.NewRegistry()
 	mesh.SetObs(reg)
-	mesh.conns[0][1] = &flakyConn{Conn: mesh.conns[0][1], failWrites: 1, partial: true}
+	plant(mesh, 0, 1, func(c net.Conn) net.Conn { return &flakyConn{Conn: c, failWrites: 1, partial: true} })
 	frames := meshFrames(3, func(src, dst int) []byte {
 		return []byte{byte(src), byte(dst), 0xAB}
 	})
-	in, err := mesh.RoundTrip(frames)
+	in, err := mesh.RoundTrip(1, frames)
 	if err != nil {
-		t.Fatalf("retry did not recover the round: %v", err)
+		t.Fatalf("redial did not recover the round: %v", err)
 	}
 	for dst := 0; dst < 3; dst++ {
 		for src := 0; src < 3; src++ {
@@ -271,22 +283,56 @@ func TestRoundTripRetriesTornWrite(t *testing.T) {
 			}
 		}
 	}
-	if got := mesh.retries.Value(); got < 1 {
-		t.Fatalf("retries counter = %v, want >= 1", got)
+	reconnects := reg.Counter("aacc_transport_peer_reconnects_total", "",
+		obs.L("peer", "1"), obs.L("addr", mesh.meshes[0].addrs[1])).Value()
+	if reconnects < 1 {
+		t.Fatalf("reconnects counter = %v, want >= 1", reconnects)
 	}
 }
 
-// TestRoundTripFailsWithinDeadlineNoHang removes the retry budget and breaks
-// one sender permanently: the round must error out within the round deadline
-// — the regression test for the missing-terminator deadlock, where receivers
-// blocked forever on a peer that bailed out.
+// stallConn passes a set number of writes through, then stalls every later
+// one until its write deadline: a sender wedged on a dead link, which no
+// redial within the round can rescue.
+type stallConn struct {
+	net.Conn
+	mu       sync.Mutex
+	allow    int
+	deadline time.Time
+}
+
+func (c *stallConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	stall := c.allow == 0
+	if c.allow > 0 {
+		c.allow--
+	}
+	dl := c.deadline
+	c.mu.Unlock()
+	if stall {
+		time.Sleep(time.Until(dl))
+		return 0, os.ErrDeadlineExceeded
+	}
+	return c.Conn.Write(p)
+}
+
+// TestRoundTripFailsWithinDeadlineNoHang wedges one sender: the round must
+// error out within the round deadline — the regression test for the
+// missing-terminator deadlock, where receivers blocked forever on a peer
+// that bailed out.
 func TestRoundTripFailsWithinDeadlineNoHang(t *testing.T) {
-	mesh := fastMesh(t, 3, Config{RoundTimeout: 500 * time.Millisecond, MaxAttempts: 1})
-	mesh.conns[0][1] = &flakyConn{Conn: mesh.conns[0][1], failWrites: 1 << 30}
+	mesh := newLoopback(t, 3, Config{RoundTimeout: 500 * time.Millisecond})
+	plant(mesh, 0, 1, func(c net.Conn) net.Conn { return &stallConn{Conn: c} })
 	frames := meshFrames(3, func(src, dst int) []byte { return []byte("payload") })
 	done := make(chan error, 1)
 	go func() {
-		_, err := mesh.RoundTrip(frames)
+		_, err := mesh.RoundTrip(1, frames)
 		done <- err
 	}()
 	select {
@@ -299,51 +345,21 @@ func TestRoundTripFailsWithinDeadlineNoHang(t *testing.T) {
 	}
 }
 
-// gateConn passes writes through until armed: arm(n) allows the next n
-// writes and fails every later one; arm(-1) restores pass-through.
-type gateConn struct {
-	net.Conn
-	mu   sync.Mutex
-	gate int // -1 = pass everything, n >= 0 = allow n more writes then fail
-}
-
-func (c *gateConn) arm(n int) {
-	c.mu.Lock()
-	c.gate = n
-	c.mu.Unlock()
-}
-
-func (c *gateConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	g := c.gate
-	if g > 0 {
-		c.gate--
-	}
-	c.mu.Unlock()
-	if g == 0 {
-		return 0, errors.New("injected write failure")
-	}
-	return c.Conn.Write(p)
-}
-
 // TestRoundAfterFailureDeliversFreshData fails one round completely — the
 // frame goes out whole but its terminator does not, leaving a complete stale
 // frame parked in the receiver's buffer — then runs a healthy round and
 // checks every delivered frame is the new round's, never the leftovers.
 func TestRoundAfterFailureDeliversFreshData(t *testing.T) {
-	mesh := fastMesh(t, 3, Config{RoundTimeout: 400 * time.Millisecond, MaxAttempts: 1})
-	g := &gateConn{Conn: mesh.conns[0][1], gate: -1}
-	mesh.conns[0][1] = g
+	mesh := newLoopback(t, 3, Config{RoundTimeout: 400 * time.Millisecond})
 	// writeFrame is two writes (header, payload); the terminator is the
 	// third. Allow exactly two, so the stale frame lands intact.
-	g.arm(2)
+	plant(mesh, 0, 1, func(c net.Conn) net.Conn { return &stallConn{Conn: c, allow: 2} })
 	staleRound := meshFrames(3, func(src, dst int) []byte { return []byte("stale") })
-	if _, err := mesh.RoundTrip(staleRound); err == nil {
+	if _, err := mesh.RoundTrip(1, staleRound); err == nil {
 		t.Fatal("expected the sabotaged round to fail")
 	}
-	g.arm(-1)
 	freshRound := meshFrames(3, func(src, dst int) []byte { return []byte("fresh") })
-	in, err := mesh.RoundTrip(freshRound)
+	in, err := mesh.RoundTrip(2, freshRound)
 	if err != nil {
 		t.Fatalf("post-failure round did not recover: %v", err)
 	}
@@ -360,7 +376,7 @@ func TestRoundAfterFailureDeliversFreshData(t *testing.T) {
 }
 
 func TestRoundTripAfterCloseErrors(t *testing.T) {
-	mesh, err := NewTCPLoopback(3)
+	mesh, err := NewLoopback(3, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,13 +388,13 @@ func TestRoundTripAfterCloseErrors(t *testing.T) {
 		frames[i] = make([][]byte, 3)
 	}
 	frames[0][1] = []byte("into the void")
-	if _, err := mesh.RoundTrip(frames); err == nil {
+	if _, err := mesh.RoundTrip(1, frames); err == nil {
 		t.Fatal("RoundTrip on a closed mesh succeeded")
 	}
 }
 
 func TestDoubleCloseReturnsSameResult(t *testing.T) {
-	mesh, err := NewTCPLoopback(2)
+	mesh, err := NewLoopback(2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,94 +417,76 @@ func (c *errCloseConn) Close() error {
 }
 
 // TestCloseSurfacesInboxErrors plants a failing Close on an accept-side
-// (inbox) connection: the mesh's Close must report it, not just dial-side
-// errors.
+// (inbound) connection: the mesh's Close must report it, not just
+// listener errors.
 func TestCloseSurfacesInboxErrors(t *testing.T) {
-	mesh, err := NewTCPLoopback(2)
+	mesh, err := NewLoopback(2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := mesh.meshes[0]
+	if _, _, err := m.getIn(1, time.Now().Add(5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	boom := errors.New("inbox close failed")
-	mesh.inbox[0][1] = &errCloseConn{Conn: mesh.inbox[0][1], err: boom}
+	m.mu.Lock()
+	m.in[1] = &errCloseConn{Conn: m.in[1], err: boom}
+	m.mu.Unlock()
 	if got := mesh.Close(); !errors.Is(got, boom) {
 		t.Fatalf("Close = %v, want the inbox-side error", got)
 	}
 }
 
-// TestSetupToleratesRogueDialer connects a rogue that aborts mid-hello; the
-// accept side must discard it and still complete the handshake with the
-// legitimate dialer.
-func TestSetupToleratesRogueDialer(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+// dialSilent connects to addr and sends the given prefix of a hello (nil:
+// nothing), holding the connection open until test cleanup.
+func dialSilent(t *testing.T, addr string, prefix []byte) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	tr := &TCPLoopback{n: 2, cfg: Config{SetupTimeout: 5 * time.Second}.Normalize()}
-	tr.inbox = [][]net.Conn{make([]net.Conn, 2), make([]net.Conn, 2)}
-	tr.readers = [][]*bufio.Reader{make([]*bufio.Reader, 2), make([]*bufio.Reader, 2)}
-
-	go func() {
-		// Rogue: half a hello, then gone.
-		if c, err := net.Dial("tcp", l.Addr().String()); err == nil {
-			c.Write([]byte{1})
-			c.Close()
+	t.Cleanup(func() { c.Close() })
+	if prefix != nil {
+		if _, err := c.Write(prefix); err != nil {
+			t.Fatal(err)
 		}
-		// Legitimate dialer: rank 1's full versioned hello.
-		c, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			return
-		}
-		var hello [helloLen]byte
-		putHello(hello[:], 1)
-		c.Write(hello[:])
-		// Keep the conn open; the test closes it via tr fields below.
-	}()
-
-	done := make(chan error, 1)
-	go func() { done <- tr.acceptPeers(0, l, time.Now().Add(5*time.Second)) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("acceptPeers failed despite a valid dialer: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("acceptPeers hung on a rogue dialer")
 	}
-	if tr.inbox[0][1] == nil {
-		t.Fatal("legitimate hello not registered")
-	}
-	tr.inbox[0][1].Close()
+	return c
 }
 
-// TestSetupStalledHelloTimesOut connects a dialer that never sends its hello:
-// setup must abort within the setup deadline instead of hanging forever —
-// the regression test for the unbounded accept-side hello read.
+// TestSetupToleratesRogueDialer connects a half-hello dialer that stays
+// connected and one that aborts mid-hello to a worker's mesh port before any
+// peer has dialed in: the peers' round must still complete within a round
+// deadline far shorter than the setup deadline the rogue holds.
+func TestSetupToleratesRogueDialer(t *testing.T) {
+	meshes := buildPeerMeshes(t, 2, 4, Config{RoundTimeout: time.Second, SetupTimeout: 10 * time.Second})
+	dialSilent(t, meshes[0].Addr(), []byte{1})
+	dialSilent(t, meshes[0].Addr(), []byte{1, 2}).Close()
+	frames := meshFrames(4, func(src, dst int) []byte { return []byte{byte(src), byte(dst)} })
+	in := runPeerRound(t, meshes, 1, frames)
+	if got := in[0][1][3]; !bytes.Equal(got, frames[3][1]) {
+		t.Fatalf("worker 0 in[1][3] = %v, want %v", got, frames[3][1])
+	}
+}
+
+// TestSetupStalledHelloTimesOut connects a dialer that never sends its hello
+// to a worker's mesh port before any peer has dialed in. The stalled hello
+// must hold up no other handshake — the peers' round completes within a
+// round deadline shorter than the setup deadline — and the stalled
+// connection is dropped once the setup deadline passes.
 func TestSetupStalledHelloTimesOut(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	const setup = 2 * time.Second
+	meshes := buildPeerMeshes(t, 2, 2, Config{RoundTimeout: 500 * time.Millisecond, SetupTimeout: setup})
+	staller := dialSilent(t, meshes[0].Addr(), nil)
+	start := time.Now()
+	frames := meshFrames(2, func(src, dst int) []byte { return []byte("x") })
+	runPeerRound(t, meshes, 1, frames)
+	staller.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := staller.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("stalled hello connection: read err = %v, want EOF (dropped by the mesh)", err)
 	}
-	defer l.Close()
-	tr := &TCPLoopback{n: 2, cfg: Config{SetupTimeout: 300 * time.Millisecond}.Normalize()}
-	tr.inbox = [][]net.Conn{make([]net.Conn, 2), make([]net.Conn, 2)}
-	tr.readers = [][]*bufio.Reader{make([]*bufio.Reader, 2), make([]*bufio.Reader, 2)}
-
-	staller, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer staller.Close()
-
-	done := make(chan error, 1)
-	go func() { done <- tr.acceptPeers(0, l, time.Now().Add(300*time.Millisecond)) }()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("acceptPeers succeeded without any hello")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("acceptPeers hung on a stalled hello")
+	if waited := time.Since(start); waited < setup/2 {
+		t.Fatalf("stalled hello dropped after %v, before the %v setup deadline", waited, setup)
 	}
 }
 
@@ -497,7 +495,7 @@ func TestSetupStalledHelloTimesOut(t *testing.T) {
 // panic, no deadlock — each RoundTrip either completes or returns an error.
 func TestCloseRacesInFlightRoundTrip(t *testing.T) {
 	const n = 4
-	mesh, err := NewTCPLoopbackWith(n, Config{RoundTimeout: 5 * time.Second, RetryBackoff: time.Millisecond})
+	mesh, err := NewLoopback(n, Config{RoundTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +514,7 @@ func TestCloseRacesInFlightRoundTrip(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if _, err := mesh.RoundTrip(frames); err != nil {
+			if _, err := mesh.RoundTrip(uint32(i+1), frames); err != nil {
 				return // closed under us: the expected exit
 			}
 		}

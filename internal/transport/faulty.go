@@ -19,7 +19,7 @@ type FaultKind int
 
 const (
 	// FaultDrop fails the whole round with ErrInjected without touching
-	// the underlying transport (the mesh stays consistent, as if the round
+	// the underlying mesh (the mesh stays consistent, as if the round
 	// was lost before reaching the wire).
 	FaultDrop FaultKind = iota
 	// FaultDelay stalls the round briefly, then delivers it normally — a
@@ -65,12 +65,20 @@ type FaultOptions struct {
 	Delay time.Duration
 }
 
-// Faulty wraps a Transport and deterministically injects wire faults —
-// dropped rounds, delays, truncated frames, corrupted headers — for tests
-// and the CLI's -fault-rate mode. It implements Transport; RoundTrip keeps
-// the inner transport's single-caller contract.
+// mesh is the collective shape Faulty wraps and exposes: the shape
+// runtime.Remote drives (Loopback and PeerMesh have it).
+type mesh interface {
+	RoundTrip(seq uint32, frames [][][]byte) ([][][]byte, error)
+	AllGather(seq uint32, payload []byte) ([][]byte, error)
+	Close() error
+}
+
+// Faulty wraps a mesh and deterministically injects wire faults — dropped
+// rounds, delays, truncated frames, corrupted headers — into its all-to-all
+// rounds, for tests and the CLI's -fault-rate mode. AllGather passes
+// through. RoundTrip keeps the inner mesh's single-caller contract.
 type Faulty struct {
-	inner Transport
+	inner mesh
 	opts  FaultOptions
 	rng   *rand.Rand
 
@@ -80,7 +88,7 @@ type Faulty struct {
 }
 
 // NewFaulty wraps inner with a deterministic fault injector.
-func NewFaulty(inner Transport, opts FaultOptions) *Faulty {
+func NewFaulty(inner mesh, opts FaultOptions) *Faulty {
 	if opts.Delay <= 0 {
 		opts.Delay = 2 * time.Millisecond
 	}
@@ -91,7 +99,7 @@ func NewFaulty(inner Transport, opts FaultOptions) *Faulty {
 }
 
 // SetObs registers the injection counters and forwards the registry to the
-// inner transport when it is observable too.
+// inner mesh when it is observable too.
 func (f *Faulty) SetObs(reg *obs.Registry) {
 	f.rec = reg.Events()
 	f.injected = make([]*obs.Counter, numFaultKinds)
@@ -121,10 +129,10 @@ func (f *Faulty) note(k FaultKind) {
 	f.rec.Record("transport", "injected-fault", 0, k.String())
 }
 
-// RoundTrip implements Transport, injecting at most one fault per round.
-func (f *Faulty) RoundTrip(frames [][][]byte) ([][][]byte, error) {
+// RoundTrip runs the inner round, injecting at most one fault.
+func (f *Faulty) RoundTrip(seq uint32, frames [][][]byte) ([][][]byte, error) {
 	if f.opts.Rate <= 0 || f.rng.Float64() >= f.opts.Rate {
-		return f.inner.RoundTrip(frames)
+		return f.inner.RoundTrip(seq, frames)
 	}
 	kind := f.opts.Kinds[f.rng.Intn(len(f.opts.Kinds))]
 	switch kind {
@@ -134,9 +142,9 @@ func (f *Faulty) RoundTrip(frames [][][]byte) ([][][]byte, error) {
 	case FaultDelay:
 		f.note(kind)
 		time.Sleep(f.opts.Delay)
-		return f.inner.RoundTrip(frames)
+		return f.inner.RoundTrip(seq, frames)
 	case FaultTruncate, FaultCorrupt:
-		in, err := f.inner.RoundTrip(frames)
+		in, err := f.inner.RoundTrip(seq, frames)
 		if err != nil {
 			return nil, err
 		}
@@ -145,13 +153,13 @@ func (f *Faulty) RoundTrip(frames [][][]byte) ([][][]byte, error) {
 		}
 		return in, nil
 	default:
-		return f.inner.RoundTrip(frames)
+		return f.inner.RoundTrip(seq, frames)
 	}
 }
 
-// damage mutates one delivered frame in place (delivered frames are freshly
-// allocated by the inner transport, never shared with the sender). It
-// reports whether a frame was available to damage.
+// damage mutates one delivered frame in place (a frame read off a socket is
+// freshly allocated, never shared with the sender, and a Loopback carries
+// every frame over one). It reports whether a frame was available to damage.
 func (f *Faulty) damage(in [][][]byte, kind FaultKind) bool {
 	var cells [][2]int
 	for dst := range in {
@@ -180,5 +188,10 @@ func (f *Faulty) damage(in [][][]byte, kind FaultKind) bool {
 	return true
 }
 
-// Close closes the inner transport.
+// AllGather passes through to the inner mesh.
+func (f *Faulty) AllGather(seq uint32, payload []byte) ([][]byte, error) {
+	return f.inner.AllGather(seq, payload)
+}
+
+// Close closes the inner mesh.
 func (f *Faulty) Close() error { return f.inner.Close() }

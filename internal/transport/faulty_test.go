@@ -13,7 +13,7 @@ type echoTransport struct {
 	rounds int
 }
 
-func (e *echoTransport) RoundTrip(frames [][][]byte) ([][][]byte, error) {
+func (e *echoTransport) RoundTrip(seq uint32, frames [][][]byte) ([][][]byte, error) {
 	e.rounds++
 	in := make([][][]byte, e.n)
 	for dst := range in {
@@ -30,6 +30,10 @@ func (e *echoTransport) RoundTrip(frames [][][]byte) ([][][]byte, error) {
 		}
 	}
 	return in, nil
+}
+
+func (e *echoTransport) AllGather(seq uint32, payload []byte) ([][]byte, error) {
+	return [][]byte{payload}, nil
 }
 
 func (e *echoTransport) Close() error { return nil }
@@ -51,7 +55,7 @@ func TestFaultyZeroRatePassesThrough(t *testing.T) {
 	inner := &echoTransport{n: 3}
 	f := NewFaulty(inner, FaultOptions{Rate: 0, Seed: 7})
 	for i := 0; i < 50; i++ {
-		in, err := f.RoundTrip(fullFrames(3))
+		in, err := f.RoundTrip(1, fullFrames(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +73,7 @@ func TestFaultyZeroRatePassesThrough(t *testing.T) {
 func TestFaultyDropSurfacesErrInjected(t *testing.T) {
 	inner := &echoTransport{n: 2}
 	f := NewFaulty(inner, FaultOptions{Rate: 1, Seed: 3, Kinds: []FaultKind{FaultDrop}})
-	_, err := f.RoundTrip(fullFrames(2))
+	_, err := f.RoundTrip(1, fullFrames(2))
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("dropped round error = %v, want ErrInjected", err)
 	}
@@ -84,7 +88,7 @@ func TestFaultyDropSurfacesErrInjected(t *testing.T) {
 func TestFaultyTruncateDamagesOneFrame(t *testing.T) {
 	inner := &echoTransport{n: 3}
 	f := NewFaulty(inner, FaultOptions{Rate: 1, Seed: 5, Kinds: []FaultKind{FaultTruncate}})
-	in, err := f.RoundTrip(fullFrames(3))
+	in, err := f.RoundTrip(1, fullFrames(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +114,7 @@ func TestFaultyTruncateDamagesOneFrame(t *testing.T) {
 func TestFaultyCorruptSaturatesHeaderBytes(t *testing.T) {
 	inner := &echoTransport{n: 2}
 	f := NewFaulty(inner, FaultOptions{Rate: 1, Seed: 5, Kinds: []FaultKind{FaultCorrupt}})
-	in, err := f.RoundTrip(fullFrames(2))
+	in, err := f.RoundTrip(1, fullFrames(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +141,7 @@ func TestFaultyDeterministic(t *testing.T) {
 		f := NewFaulty(&echoTransport{n: 3}, FaultOptions{Rate: 0.4, Seed: 42})
 		var dropped []bool
 		for i := 0; i < 200; i++ {
-			_, err := f.RoundTrip(fullFrames(3))
+			_, err := f.RoundTrip(1, fullFrames(3))
 			dropped = append(dropped, errors.Is(err, ErrInjected))
 		}
 		var counts [numFaultKinds]int64

@@ -1,3 +1,19 @@
+// Package transport carries the engine's boundary-DV exchanges over real
+// TCP connections, standing in for the paper's MPI over 1 Gb/s Ethernet.
+// PeerMesh is one endpoint of a mesh: it owns a listener, dials its peers,
+// and carries framed all-to-all rounds for the simulated processors it
+// hosts. A multi-process deployment runs one endpoint per worker process;
+// Loopback runs one endpoint per processor inside a single process, so
+// single-process wire mode and the multi-process deployment share one wire
+// stack.
+//
+// The mesh degrades rather than fail-stops: every round runs under an I/O
+// deadline, every record on the wire carries the round's sequence number
+// and a CRC, leftover bytes from an aborted round are drained by sequence
+// number (never returned as this round's data), and a corrupted stream
+// resynchronises by scanning for the next record boundary. A failed round
+// is not retried here; it surfaces as an error and the caller (the engine's
+// step rollback, the session's degraded loop, the coordinator) decides.
 package transport
 
 import (
@@ -12,12 +28,41 @@ import (
 	"aacc/internal/obs"
 )
 
-// PeerMesh is a mesh of TCP connections between worker *processes*. Where
-// TCPLoopback pretends each simulated processor owns a socket inside one
-// address space, PeerMesh carries the same framed rounds between separately
-// started processes that find each other by configured address: each worker
-// listens on its own address, dials its peers on demand, and multiplexes the
-// frames of all its resident processors over one connection per peer.
+// Config tunes the mesh's deadlines and frame cap. The zero value selects
+// the defaults below; Normalize resolves them.
+type Config struct {
+	// RoundTimeout is the per-round I/O deadline: every send and receive
+	// of one round must complete within it. Default 30s.
+	RoundTimeout time.Duration
+	// SetupTimeout bounds connection establishment (dial and hello
+	// handshake). A dialer that stalls mid-hello is dropped when it expires.
+	// Default 10s.
+	SetupTimeout time.Duration
+	// MaxFrame caps a single frame's size. A length header beyond it is
+	// treated as stream corruption (the reader resynchronises) rather than
+	// an allocation request — a corrupt 4-byte header can no longer demand
+	// gigabytes. Default 256 MiB.
+	MaxFrame int
+}
+
+// Normalize fills unset fields with the defaults.
+func (c Config) Normalize() Config {
+	if c.RoundTimeout <= 0 {
+		c.RoundTimeout = 30 * time.Second
+	}
+	if c.SetupTimeout <= 0 {
+		c.SetupTimeout = 10 * time.Second
+	}
+	if c.MaxFrame <= 0 {
+		c.MaxFrame = 256 << 20
+	}
+	return c
+}
+
+// PeerMesh is one worker's endpoint in a mesh of TCP connections. Workers
+// find each other by configured address: each listens on its own address,
+// dials its peers on demand, and multiplexes the frames of all its resident
+// processors over one connection per peer.
 //
 // The mesh is built for churn. The accept loop runs for the mesh's whole
 // lifetime, and a fresh hello from a known worker *replaces* that worker's
@@ -40,6 +85,9 @@ type PeerMesh struct {
 	inR    []*bufio.Reader
 	wait   chan struct{} // closed+replaced whenever an inbound conn lands
 	closed bool
+	// hellos holds accepted connections whose hello is still being read;
+	// Close closes them so no handshake outlives the mesh.
+	hellos map[net.Conn]struct{}
 
 	acceptDone chan struct{}
 
@@ -91,6 +139,7 @@ func NewPeerMesh(ln net.Listener, cfg PeerConfig) (*PeerMesh, error) {
 		in:         make([]net.Conn, n),
 		inR:        make([]*bufio.Reader, n),
 		wait:       make(chan struct{}),
+		hellos:     make(map[net.Conn]struct{}),
 		acceptDone: make(chan struct{}),
 	}
 	go m.acceptLoop()
@@ -126,20 +175,17 @@ func (m *PeerMesh) notePeerFailure(w int) {
 	m.rec.Record("transport", "peer-failure", 0, fmt.Sprintf("remote worker %d", w))
 }
 
-// acceptLoop admits inbound peer connections for the mesh's lifetime. A
-// hello from a worker that already has an inbound slot replaces it (the old
-// connection is closed): that is how a restarted peer rejoins.
+// acceptLoop admits inbound peer connections for the mesh's lifetime. Each
+// hello is read on its own goroutine under the setup deadline, so a dialer
+// that connects and stalls cannot hold up the peers behind it.
 func (m *PeerMesh) acceptLoop() {
+	var hellos sync.WaitGroup
 	defer close(m.acceptDone)
+	defer hellos.Wait()
 	for {
 		conn, err := m.ln.Accept()
 		if err != nil {
 			return // listener closed: the mesh is shutting down
-		}
-		rank, err := AcceptHello(conn, len(m.addrs), time.Now().Add(m.cfg.SetupTimeout))
-		if err != nil || rank == m.self {
-			conn.Close()
-			continue
 		}
 		m.mu.Lock()
 		if m.closed {
@@ -147,15 +193,38 @@ func (m *PeerMesh) acceptLoop() {
 			conn.Close()
 			return
 		}
-		if old := m.in[rank]; old != nil {
-			old.Close()
-		}
-		m.in[rank] = conn
-		m.inR[rank] = bufio.NewReaderSize(conn, 1<<16)
-		close(m.wait)
-		m.wait = make(chan struct{})
+		m.hellos[conn] = struct{}{}
 		m.mu.Unlock()
+		hellos.Add(1)
+		go func() {
+			defer hellos.Done()
+			m.admit(conn)
+		}()
 	}
+}
+
+// admit reads conn's hello and installs it as the peer's inbound
+// connection. A hello from a worker that already has an inbound slot
+// replaces it (the old connection is closed): that is how a restarted peer
+// rejoins.
+func (m *PeerMesh) admit(conn net.Conn) {
+	rank, err := AcceptHello(conn, len(m.addrs), time.Now().Add(m.cfg.SetupTimeout))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.hellos, conn)
+	if err != nil || rank == m.self || m.closed {
+		conn.Close()
+		return
+	}
+	if old := m.in[rank]; old != nil {
+		old.Close()
+	}
+	m.in[rank] = conn
+	// The default 4 KiB buffer: a Loopback holds P(P-1) inbound readers,
+	// and payload reads larger than the buffer bypass it anyway.
+	m.inR[rank] = bufio.NewReader(conn)
+	close(m.wait)
+	m.wait = make(chan struct{})
 }
 
 // getIn waits (until deadline) for an inbound connection from worker w. The
@@ -248,9 +317,9 @@ const peerTagLen = 8
 // each keeps its own slice of the matrix. Pairs resident on this worker
 // never touch a socket.
 //
-// One call is one attempt: a failure is returned without retry, and the
-// caller must not reuse seq for the repaired round (stale records are
-// drained by sequence number on the next call).
+// A failed round is returned without retry, and the caller must not reuse
+// seq for the repaired round (stale records are drained by sequence number
+// on the next call).
 func (m *PeerMesh) RoundTrip(seq uint32, frames [][][]byte) ([][][]byte, error) {
 	p := len(m.owner)
 	if len(frames) != p {
@@ -272,48 +341,9 @@ func (m *PeerMesh) RoundTrip(seq uint32, frames [][][]byte) ([][][]byte, error) 
 			}
 		}
 	}
-	deadline := time.Now().Add(m.cfg.RoundTimeout)
-	var wg sync.WaitGroup
 	var inMu sync.Mutex
-	errs := make(chan error, 2*len(m.addrs))
-	for w := range m.addrs {
-		if w == m.self {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if err := m.sendTo(w, seq, frames, deadline); err != nil {
-				m.notePeerFailure(w)
-				errs <- fmt.Errorf("transport: send to worker %d (round %d): %w", w, seq, err)
-			}
-		}(w)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if err := m.recvFrom(w, seq, in, &inMu, deadline); err != nil {
-				m.notePeerFailure(w)
-				errs <- fmt.Errorf("transport: recv from worker %d (round %d): %w", w, seq, err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		m.roundFails.Inc()
-		return nil, err
-	}
-	return in, nil
-}
-
-// sendTo writes this worker's frames destined for worker w, then the round
-// terminator. A write failure on a cached connection triggers one redial
-// within the round deadline — the fast path for a peer that restarted since
-// the last round.
-func (m *PeerMesh) sendTo(w int, seq uint32, frames [][][]byte, deadline time.Time) error {
-	send := func(conn net.Conn) error {
-		conn.SetWriteDeadline(deadline)
-		for src := 0; src < len(m.owner); src++ {
+	send := func(w int, conn net.Conn) error {
+		for src := 0; src < p; src++ {
 			if m.owner[src] != m.self || frames[src] == nil {
 				continue
 			}
@@ -321,14 +351,129 @@ func (m *PeerMesh) sendTo(w int, seq uint32, frames [][][]byte, deadline time.Ti
 				if frame == nil || m.owner[dst] != w {
 					continue
 				}
-				tagged := make([]byte, peerTagLen+len(frame))
-				binary.LittleEndian.PutUint32(tagged[0:4], uint32(src))
-				binary.LittleEndian.PutUint32(tagged[4:8], uint32(dst))
-				copy(tagged[peerTagLen:], frame)
-				if err := writeFrame(conn, seq, tagged); err != nil {
+				var tag [peerTagLen]byte
+				binary.LittleEndian.PutUint32(tag[0:4], uint32(src))
+				binary.LittleEndian.PutUint32(tag[4:8], uint32(dst))
+				if err := writeFrame(conn, seq, tag[:], frame); err != nil {
 					return err
 				}
 			}
+		}
+		return nil
+	}
+	recv := func(w int, payload []byte) error {
+		if len(payload) < peerTagLen {
+			return fmt.Errorf("short peer record (%d bytes)", len(payload))
+		}
+		src := int(binary.LittleEndian.Uint32(payload[0:4]))
+		dst := int(binary.LittleEndian.Uint32(payload[4:8]))
+		if src < 0 || src >= p || m.owner[src] != w {
+			return fmt.Errorf("record claims source processor %d, not resident on worker %d", src, w)
+		}
+		if dst < 0 || dst >= p || m.owner[dst] != m.self {
+			return fmt.Errorf("record for processor %d, not resident here", dst)
+		}
+		inMu.Lock()
+		defer inMu.Unlock()
+		if in[dst][src] != nil {
+			return fmt.Errorf("duplicate record %d->%d", src, dst)
+		}
+		in[dst][src] = payload[peerTagLen:]
+		return nil
+	}
+	reset := func(w int) {
+		inMu.Lock()
+		defer inMu.Unlock()
+		for dst := range in {
+			for src := range in[dst] {
+				if m.owner[src] == w {
+					in[dst][src] = nil
+				}
+			}
+		}
+	}
+	if err := m.collective(seq, send, recv, reset); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// AllGather shares one worker-level payload with every peer and returns all
+// workers' payloads indexed by worker (this worker's own payload included).
+// It rides the same framed rounds as RoundTrip and therefore needs its own
+// fresh seq from the caller.
+func (m *PeerMesh) AllGather(seq uint32, payload []byte) ([][]byte, error) {
+	out := make([][]byte, len(m.addrs))
+	out[m.self] = payload
+	send := func(w int, conn net.Conn) error { return writeFrame(conn, seq, nil, payload) }
+	recv := func(w int, p []byte) error {
+		if out[w] != nil {
+			return fmt.Errorf("two all-gather records from worker %d", w)
+		}
+		out[w] = p
+		return nil
+	}
+	reset := func(w int) { out[w] = nil }
+	if err := m.collective(seq, send, recv, reset); err != nil {
+		return nil, err
+	}
+	for w, p := range out {
+		if p == nil {
+			m.roundFails.Inc()
+			return nil, fmt.Errorf("transport: no all-gather record from worker %d (round %d)", w, seq)
+		}
+	}
+	return out, nil
+}
+
+// collective runs one framed round against every peer concurrently under
+// one round deadline. For each peer w, send writes this worker's records
+// for w (the terminator follows), recv consumes each record w sent, and
+// reset wipes what recv took from a connection that broke mid-round before
+// the round is re-read from w's replacement connection. Calls for distinct
+// peers run concurrently. The first error fails the round.
+func (m *PeerMesh) collective(seq uint32, send func(w int, conn net.Conn) error, recv func(w int, payload []byte) error, reset func(w int)) error {
+	deadline := time.Now().Add(m.cfg.RoundTimeout)
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(m.addrs))
+	for w := range m.addrs {
+		if w == m.self {
+			continue
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := m.sendTo(w, seq, deadline, send); err != nil {
+				m.notePeerFailure(w)
+				errs <- fmt.Errorf("transport: send to worker %d (round %d): %w", w, seq, err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if err := m.recvFrom(w, seq, deadline, recv, reset); err != nil {
+				m.notePeerFailure(w)
+				errs <- fmt.Errorf("transport: recv from worker %d (round %d): %w", w, seq, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		m.roundFails.Inc()
+		return err
+	}
+	return nil
+}
+
+// sendTo writes this worker's records for worker w, then the round
+// terminator. A write failure on a cached connection triggers one redial
+// within the round deadline — the fast path for a peer that restarted since
+// the last round.
+func (m *PeerMesh) sendTo(w int, seq uint32, deadline time.Time, send func(w int, conn net.Conn) error) error {
+	attempt := func(conn net.Conn) error {
+		conn.SetWriteDeadline(deadline)
+		if err := send(w, conn); err != nil {
+			return err
 		}
 		return writeTerminator(conn, seq)
 	}
@@ -336,7 +481,7 @@ func (m *PeerMesh) sendTo(w int, seq uint32, frames [][][]byte, deadline time.Ti
 	if err != nil {
 		return err
 	}
-	if err := send(conn); err == nil {
+	if err := attempt(conn); err == nil {
 		return nil
 	}
 	// One redial: the cached connection may be a casualty of the peer's
@@ -350,42 +495,21 @@ func (m *PeerMesh) sendTo(w int, seq uint32, frames [][][]byte, deadline time.Ti
 	if err != nil {
 		return err
 	}
-	if err := send(conn); err != nil {
+	if err := attempt(conn); err != nil {
 		m.dropOut(w, conn)
 		return err
 	}
 	return nil
 }
 
-// recvFrom drains worker w's records for round seq into the result matrix.
-// A read failure does not doom the round immediately: if a fresh inbound
+// recvFrom drains worker w's records for round seq into recv. A read
+// failure does not doom the round immediately: if a fresh inbound
 // connection from w lands within the deadline (the peer restarted and
-// redialed), the partial contribution is wiped and the round is re-read from
-// the replacement — so the first round after a rejoin completes instead of
-// failing on the dead incarnation's connection.
-func (m *PeerMesh) recvFrom(w int, seq uint32, in [][][]byte, inMu *sync.Mutex, deadline time.Time) error {
-	readOnce := func(br *bufio.Reader) error {
-		return readRecords(br, seq, m.cfg.MaxFrame, func(payload []byte) error {
-			if len(payload) < peerTagLen {
-				return fmt.Errorf("short peer record (%d bytes)", len(payload))
-			}
-			src := int(binary.LittleEndian.Uint32(payload[0:4]))
-			dst := int(binary.LittleEndian.Uint32(payload[4:8]))
-			if src < 0 || src >= len(m.owner) || m.owner[src] != w {
-				return fmt.Errorf("record claims source processor %d, not resident on worker %d", src, w)
-			}
-			if dst < 0 || dst >= len(m.owner) || m.owner[dst] != m.self {
-				return fmt.Errorf("record for processor %d, not resident here", dst)
-			}
-			inMu.Lock()
-			defer inMu.Unlock()
-			if in[dst][src] != nil {
-				return fmt.Errorf("duplicate record %d->%d", src, dst)
-			}
-			in[dst][src] = payload[peerTagLen:]
-			return nil
-		})
-	}
+// redialed), the partial contribution is wiped by reset and the round is
+// re-read from the replacement — so the first round after a rejoin
+// completes instead of failing on the dead incarnation's connection.
+func (m *PeerMesh) recvFrom(w int, seq uint32, deadline time.Time, recv func(w int, payload []byte) error, reset func(w int)) error {
+	onRecord := func(payload []byte) error { return recv(w, payload) }
 	var lastErr error
 	for {
 		conn, br, err := m.getIn(w, deadline)
@@ -396,23 +520,13 @@ func (m *PeerMesh) recvFrom(w int, seq uint32, in [][][]byte, inMu *sync.Mutex, 
 			return err
 		}
 		conn.SetReadDeadline(deadline)
-		if err := readOnce(br); err == nil {
+		if lastErr = readRecords(br, seq, m.cfg.MaxFrame, onRecord); lastErr == nil {
 			return nil
-		} else {
-			lastErr = err
 		}
 		if !m.awaitReplacement(w, conn, deadline) {
 			return lastErr
 		}
-		inMu.Lock()
-		for dst := range in {
-			for src := range in[dst] {
-				if m.owner[src] == w {
-					in[dst][src] = nil
-				}
-			}
-		}
-		inMu.Unlock()
+		reset(w)
 	}
 }
 
@@ -446,96 +560,9 @@ func (m *PeerMesh) awaitReplacement(w int, conn net.Conn, deadline time.Time) bo
 	}
 }
 
-// AllGather shares one worker-level payload with every peer and returns all
-// workers' payloads indexed by worker (this worker's own payload included).
-// It rides the same framed rounds as RoundTrip and therefore needs its own
-// fresh seq from the caller.
-func (m *PeerMesh) AllGather(seq uint32, payload []byte) ([][]byte, error) {
-	out := make([][]byte, len(m.addrs))
-	out[m.self] = payload
-	deadline := time.Now().Add(m.cfg.RoundTimeout)
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*len(m.addrs))
-	for w := range m.addrs {
-		if w == m.self {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			send := func(conn net.Conn) error {
-				conn.SetWriteDeadline(deadline)
-				if err := writeFrame(conn, seq, payload); err != nil {
-					return err
-				}
-				return writeTerminator(conn, seq)
-			}
-			conn, err := m.getOut(w, deadline)
-			if err == nil {
-				if err = send(conn); err != nil {
-					m.dropOut(w, conn)
-					if conn, err = m.getOut(w, deadline); err == nil {
-						if err = send(conn); err != nil {
-							m.dropOut(w, conn)
-						}
-					}
-				}
-			}
-			if err != nil {
-				m.notePeerFailure(w)
-				errs <- fmt.Errorf("transport: all-gather send to worker %d (round %d): %w", w, seq, err)
-			}
-		}(w)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var err error
-			for {
-				var conn net.Conn
-				var br *bufio.Reader
-				var gerr error
-				conn, br, gerr = m.getIn(w, deadline)
-				if gerr != nil {
-					if err == nil {
-						err = gerr
-					}
-					break
-				}
-				conn.SetReadDeadline(deadline)
-				seen := false
-				err = readRecords(br, seq, m.cfg.MaxFrame, func(p []byte) error {
-					if seen {
-						return fmt.Errorf("two all-gather records from worker %d", w)
-					}
-					seen = true
-					out[w] = p
-					return nil
-				})
-				if err == nil && !seen {
-					err = fmt.Errorf("no all-gather record from worker %d", w)
-				}
-				if err == nil || !m.awaitReplacement(w, conn, deadline) {
-					break
-				}
-				out[w] = nil
-			}
-			if err != nil {
-				m.notePeerFailure(w)
-				errs <- fmt.Errorf("transport: all-gather recv from worker %d (round %d): %w", w, seq, err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		m.roundFails.Inc()
-		return nil, err
-	}
-	return out, nil
-}
-
 // Close tears the mesh down: the listener stops accepting and every
-// connection in both directions is closed. Safe to call more than once.
+// connection in both directions, and every pending hello, is closed. The
+// first error wins. Safe to call more than once.
 func (m *PeerMesh) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -545,7 +572,7 @@ func (m *PeerMesh) Close() error {
 	m.closed = true
 	close(m.wait)
 	m.wait = make(chan struct{})
-	conns := make([]net.Conn, 0, 2*len(m.addrs))
+	conns := make([]net.Conn, 0, 2*len(m.addrs)+len(m.hellos))
 	for i := range m.out {
 		if m.out[i] != nil {
 			conns = append(conns, m.out[i])
@@ -556,10 +583,15 @@ func (m *PeerMesh) Close() error {
 			m.in[i] = nil
 		}
 	}
+	for c := range m.hellos {
+		conns = append(conns, c)
+	}
 	m.mu.Unlock()
 	err := m.ln.Close()
 	for _, c := range conns {
-		c.Close()
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
 	}
 	<-m.acceptDone
 	return err

@@ -12,8 +12,9 @@ import (
 )
 
 // buildPeerMeshes starts n workers' mesh endpoints on ephemeral loopback
-// ports with the processors split contiguously across them.
-func buildPeerMeshes(t *testing.T, n, p int) []*PeerMesh {
+// ports with the processors split contiguously across them. A zero cfg
+// selects a 5s round timeout.
+func buildPeerMeshes(t *testing.T, n, p int, cfg Config) []*PeerMesh {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -29,11 +30,13 @@ func buildPeerMeshes(t *testing.T, n, p int) []*PeerMesh {
 	for i := range owner {
 		owner[i] = i * n / p
 	}
+	if cfg == (Config{}) {
+		cfg.RoundTimeout = 5 * time.Second
+	}
 	meshes := make([]*PeerMesh, n)
 	for i := range meshes {
 		m, err := NewPeerMesh(lns[i], PeerConfig{
-			Self: i, Addrs: addrs, Owner: owner,
-			Config: Config{RoundTimeout: 5 * time.Second},
+			Self: i, Addrs: addrs, Owner: owner, Config: cfg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +75,7 @@ func runPeerRound(t *testing.T, meshes []*PeerMesh, seq uint32, frames [][][]byt
 // cell arrives exactly as sent, local pairs included.
 func TestPeerMeshRoundTrip(t *testing.T) {
 	const n, p = 2, 4
-	meshes := buildPeerMeshes(t, n, p)
+	meshes := buildPeerMeshes(t, n, p, Config{})
 	frames := make([][][]byte, p)
 	for src := range frames {
 		frames[src] = make([][]byte, p)
@@ -107,7 +110,7 @@ func TestPeerMeshRoundTrip(t *testing.T) {
 // ends up with every worker's payload at its index.
 func TestPeerMeshAllGather(t *testing.T) {
 	const n = 3
-	meshes := buildPeerMeshes(t, n, 6)
+	meshes := buildPeerMeshes(t, n, 6, Config{})
 	outs := make([][][]byte, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -136,7 +139,7 @@ func TestPeerMeshAllGather(t *testing.T) {
 // the survivor's redial and the restarted worker's re-accept.
 func TestPeerMeshRejoin(t *testing.T) {
 	const n, p = 2, 4
-	meshes := buildPeerMeshes(t, n, p)
+	meshes := buildPeerMeshes(t, n, p, Config{})
 	frames := make([][][]byte, p)
 	for src := range frames {
 		frames[src] = make([][]byte, p)
@@ -187,7 +190,7 @@ func TestPeerMeshRejoin(t *testing.T) {
 // different protocol revision: the acceptor must reject it with the
 // bad-version ack (carrying its own version) instead of admitting the peer.
 func TestPeerMeshVersionMismatch(t *testing.T) {
-	meshes := buildPeerMeshes(t, 2, 2)
+	meshes := buildPeerMeshes(t, 2, 2, Config{})
 	conn, err := net.Dial("tcp", meshes[0].Addr())
 	if err != nil {
 		t.Fatal(err)
